@@ -8,10 +8,13 @@ Two-step scheme:
    second K-means (k=2) on log duration.
 
 At run time every arriving task is labeled with the nearest static centroid
-and initially assumed *short*; the :class:`RuntimeLabeler` relabels it *long*
-once its observed running time crosses the class's split boundary — the
-paper's observation that "tasks are either short or long, and the majority
-are short" keeps the transient labeling error small.
+and initially assumed *short* (:meth:`TaskClassifier.classify` with
+``observed_runtime=0``).  The simulator relabels a running task *long* once
+its observed running time crosses the class's split boundary
+(:meth:`repro.simulation.HarmonySimulation.relabel_class`, applied by the
+cluster replay every control tick) — the paper's observation that "tasks
+are either short or long, and the majority are short" keeps the transient
+labeling error small.
 """
 
 from repro.classification.classifier import (
@@ -21,7 +24,6 @@ from repro.classification.classifier import (
     TaskClassifier,
     ClassifierConfig,
 )
-from repro.classification.labeler import RuntimeLabeler, RelabelEvent
 from repro.classification.features import static_features, duration_features
 
 __all__ = [
@@ -30,8 +32,6 @@ __all__ = [
     "StaticClass",
     "TaskClassifier",
     "ClassifierConfig",
-    "RuntimeLabeler",
-    "RelabelEvent",
     "static_features",
     "duration_features",
 ]

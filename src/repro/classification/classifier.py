@@ -291,7 +291,10 @@ class TaskClassifier:
         labeling; once the observed runtime crosses the class boundary the
         same call returns the *long* sub-class.
         """
-        static = self.classify_static(task)
+        return self._leaf(self.classify_static(task), observed_runtime)
+
+    def _leaf(self, static: StaticClass, observed_runtime: float) -> TaskClass:
+        """The duration sub-class of ``static`` after ``observed_runtime``."""
         category = (
             DurationCategory.LONG
             if observed_runtime > static.split_seconds
@@ -330,25 +333,9 @@ class TaskClassifier:
                 s.index: s for s in self.static_classes if s.group is group
             }
             for position, static_label in zip(positions, static_labels):
-                static = static_by_index[int(static_label)]
-                category = (
-                    DurationCategory.LONG
-                    if observed_runtime > static.split_seconds
-                    else DurationCategory.SHORT
+                labels[position] = self._leaf(
+                    static_by_index[int(static_label)], observed_runtime
                 )
-                leaf = self._leaf_lookup.get((group, static.index, category))
-                if leaf is None:
-                    fallback = (
-                        DurationCategory.SHORT
-                        if category is DurationCategory.LONG
-                        else DurationCategory.LONG
-                    )
-                    leaf = self._leaf_lookup.get((group, static.index, fallback))
-                if leaf is None:
-                    raise KeyError(
-                        f"no leaf class for static class {group}/{static.index}"
-                    )
-                labels[position] = leaf
         return [label for label in labels if label is not None]
 
     def true_class(self, task: Task) -> TaskClass:

@@ -194,6 +194,14 @@ def fleet_baseline_payload(
         ),
     }
     if merged is not None:
+        # Shard summaries nest their task counts under "simulation", which
+        # the runner's top-level ``tasks_submitted`` sum cannot see.
+        for entry, result in zip(payload["scenarios"], fleet.report.results):
+            entry["tasks"] = int(result.summary["simulation"]["tasks_submitted"])
+        wall = fleet.report.total_wall_seconds
+        payload["tasks_per_second"] = (
+            round(merged["tasks_submitted"] / wall, 2) if wall > 0 else 0.0
+        )
         payload["fleet"]["machines"] = merged["shards"]["machines"]
         payload["fleet"]["tasks_submitted"] = merged["tasks_submitted"]
         payload["fleet"]["tasks_scheduled"] = merged["tasks_scheduled"]

@@ -13,7 +13,8 @@ The paper's primary contribution (Sections VII-VIII):
   (Section VIII-B) that only provisions machines and caps the native
   scheduler;
 - :mod:`repro.provisioning.baseline` -- the heterogeneity-oblivious
-  80%-bottleneck-utilization baseline of Section IX-B.
+  80%-bottleneck-utilization baseline of Section IX-B, whose greedy
+  energy-efficiency fill also sizes ``repro serve``.
 """
 
 from repro.provisioning.model import (

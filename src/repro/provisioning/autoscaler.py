@@ -15,9 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.energy.models import MachineModel
 from repro.provisioning.controller import ProvisioningDecision
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.simulation.cluster import ClusterView
 
 
 @dataclass(frozen=True)
@@ -143,3 +147,16 @@ class ThresholdAutoscaler:
             for pid, n in allocation.items()
         )
         return cpu, memory
+
+
+def reactive_decision(
+    autoscaler: ThresholdAutoscaler, view: "ClusterView"
+) -> ProvisioningDecision:
+    """One threshold step over a cluster view's observed demand and power."""
+    return autoscaler.decide(
+        view.time,
+        view.demand_cpu,
+        view.demand_memory,
+        powered=view.powered,
+        available=view.available,
+    )

@@ -73,23 +73,12 @@ class BaselineProvisioner:
         """
         if demand_cpu < 0 or demand_memory < 0:
             raise ValueError("demand must be non-negative")
-        required_cpu = demand_cpu / self.config.target_utilization
-        required_memory = demand_memory / self.config.target_utilization
-
-        active: dict[int, int] = {m.platform_id: 0 for m in self.machine_models}
-        got_cpu = 0.0
-        got_memory = 0.0
-        for model in self.efficiency_order:
-            cap = model.count if available is None else available.get(model.platform_id, model.count)
-            for _ in range(cap):
-                if got_cpu >= required_cpu and got_memory >= required_memory:
-                    break
-                active[model.platform_id] += 1
-                got_cpu += model.cpu_capacity
-                got_memory += model.memory_capacity
-            if got_cpu >= required_cpu and got_memory >= required_memory:
-                break
-
+        active = efficiency_fill(
+            self.machine_models,
+            demand_cpu / self.config.target_utilization,
+            demand_memory / self.config.target_utilization,
+            available,
+        )
         decision = ProvisioningDecision(
             time=now,
             active=active,
@@ -98,3 +87,33 @@ class BaselineProvisioner:
         )
         self.decisions.append(decision)
         return decision
+
+
+def efficiency_fill(
+    machine_models: tuple[MachineModel, ...],
+    required_cpu: float,
+    required_memory: float,
+    available: dict[int, int] | None = None,
+) -> dict[int, int]:
+    """Machines per platform id covering (cpu, memory), most efficient first.
+
+    Machines are powered one at a time, type by type in decreasing energy
+    efficiency, until both resources are covered or the available fleet
+    runs out — the paper's greedy baseline fill.  The result lists every
+    platform id of ``machine_models`` in their given order.
+    """
+    active = {m.platform_id: 0 for m in machine_models}
+    got_cpu = 0.0
+    got_memory = 0.0
+    for model in sorted(machine_models, key=lambda m: -m.efficiency):
+        cap = model.count if available is None else available.get(model.platform_id, model.count)
+        cpu, memory = model.cpu_capacity, model.memory_capacity
+        taken = 0
+        while taken < cap and (got_cpu < required_cpu or got_memory < required_memory):
+            taken += 1
+            got_cpu += cpu
+            got_memory += memory
+        active[model.platform_id] = taken
+        if taken < cap:
+            break
+    return active

@@ -15,72 +15,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.provisioning.controller import HarmonyController, ProvisioningDecision
-from repro.provisioning.rounding import _largest_remainder_targets
+from repro.provisioning.controller import HarmonyController
+from repro.provisioning.model import ProvisioningProblem
+from repro.provisioning.relax import RelaxSolution
+from repro.provisioning.rounding import RoundedPlan
 
 
 class CbpController(HarmonyController):
     """CBS-RELAX provisioning with nearest-integer rounding (no packing).
 
-    Shares the predictor/queueing/LP machinery with
+    Shares forecasting, demand, the LP, quotas and the decision record with
     :class:`HarmonyController`; only the realization step differs.
     """
 
-    def decide(
+    def realize(
         self,
-        now: float,
-        backlog: dict[int, int] | None = None,
-        available: dict[int, int] | None = None,
-        running: dict[int, int] | None = None,
-        running_by_platform: dict[int, dict[int, int]] | None = None,
-        powered: dict[int, int] | None = None,
-    ) -> ProvisioningDecision:
-        rates = self.forecast_rates()
-        demand = self.container_demand(rates, backlog, running)
-        problem = self.build_problem(now, demand, available)
-        if powered is not None:
-            initial_active = np.array(
-                [float(powered.get(m.platform_id, 0)) for m in self.machine_models]
-            )
-        else:
-            initial_active = self._previous_active
-        solution = self._solver.solve(
-            problem,
-            initial_active=initial_active,
-            committed=self.committed_matrix(running_by_platform),
-        )
-        self.last_solution = solution
-        self.last_plan = None  # CBP performs no packing
-
-        # Round delta/sigma to integer values (Section VIII-B): machines per
-        # type (nearest int, rounded up so fractional provisioning is not
-        # silently lost) and container quotas per (type, class) via
-        # largest-remainder so thin classes keep their column totals.
+        problem: ProvisioningProblem,
+        solution: RelaxSolution,
+        available: dict[int, int] | None,
+    ) -> tuple[dict[int, int], dict[int, int], RoundedPlan | None]:
+        # Machines per type: nearest integer, rounded up at .5 so fractional
+        # provisioning is not silently lost, capped by availability.  CBP
+        # performs no packing, so nothing is dropped and there is no plan.
         z = np.ceil(solution.z[0] - 0.5 + 1e-9).astype(int)
-        x = _largest_remainder_targets(solution.x[0])
         active: dict[int, int] = {}
-        quotas: dict[int, dict[int, int]] = {}
         for m, model in enumerate(self.machine_models):
             cap = model.count if available is None else available.get(model.platform_id, model.count)
             active[model.platform_id] = int(min(max(z[m], 0), cap))
-            quotas[model.platform_id] = {
-                self.class_ids[n]: int(x[m, n])
-                for n in range(len(self.class_ids))
-                if x[m, n] > 0
-            }
-
-        decision = ProvisioningDecision(
-            time=now,
-            active=active,
-            quotas=quotas,
-            demand={
-                self.class_ids[n]: float(demand[0, n]) for n in range(len(self.class_ids))
-            },
-            dropped={},
-            objective=solution.objective,
-        )
-        self._previous_active = np.array(
-            [active[model.platform_id] for model in self.machine_models], dtype=float
-        )
-        self.decisions.append(decision)
-        return decision
+        return active, {}, None

@@ -7,7 +7,8 @@ Every control period the controller:
 2. converts predicted rates (plus any observed backlog) into container
    demand via the M/G/N model (container manager);
 3. solves CBS-RELAX over the horizon (line 5);
-4. rounds step 0 with first-fit (Lemma 1) into an integer machine plan and
+4. realizes step 0 as an integer machine plan (:meth:`HarmonyController.realize`:
+   Lemma 1 first-fit for CBS, nearest-integer rounding for CBP) plus
    per-(machine type, container type) quotas (lines 6-11);
 5. carries the realized machine counts into the next period's switching
    costs.
@@ -15,7 +16,7 @@ Every control period the controller:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -135,6 +136,15 @@ class ProvisioningDecision:
             dropped={int(k): int(v) for k, v in state["dropped"]},
             objective=float(state["objective"]),
         )
+
+
+def hold_decision(
+    last_good: ProvisioningDecision | None, time: float, powered: dict[int, int]
+) -> ProvisioningDecision:
+    """Re-stamp the last-known-good plan at ``time``, else keep current power."""
+    if last_good is not None:
+        return replace(last_good, time=time)
+    return ProvisioningDecision(time=time, active=dict(powered), quotas=None)
 
 
 class HarmonyController:
@@ -295,14 +305,10 @@ class HarmonyController:
             initial_active=initial_active,
             committed=self.committed_matrix(running_by_platform),
         )
-        plan = self._rounder.round(problem, solution, t=0)
+        active, dropped, plan = self.realize(problem, solution, available)
         self.last_solution = solution
         self.last_plan = plan
 
-        active = {
-            model.platform_id: int(plan.active[m])
-            for m, model in enumerate(self.machine_models)
-        }
         # Quotas come from the LP assignment x (largest-remainder rounded),
         # not from the packed counts: the packing realizes machine counts,
         # while x is the scheduler-facing cap ("the controller is free to
@@ -324,13 +330,34 @@ class HarmonyController:
             demand={
                 self.class_ids[n]: float(demand[0, n]) for n in range(len(self.class_ids))
             },
-            dropped={
-                self.class_ids[n]: int(plan.dropped[n])
-                for n in range(len(self.class_ids))
-                if plan.dropped[n] > 0
-            },
+            dropped=dropped,
             objective=solution.objective,
         )
-        self._previous_active = plan.active.astype(float)
+        self._previous_active = np.array(
+            [active[model.platform_id] for model in self.machine_models], dtype=float
+        )
         self.decisions.append(decision)
         return decision
+
+    def realize(
+        self,
+        problem: ProvisioningProblem,
+        solution: RelaxSolution,
+        available: dict[int, int] | None,
+    ) -> tuple[dict[int, int], dict[int, int], RoundedPlan | None]:
+        """Step 0 as ``(active, dropped, plan)``: machines per platform id,
+        unplaced containers per class id, and the packing behind them.
+
+        CBS packs with Lemma 1's First-Fit rounding; CBP overrides this.
+        """
+        plan = self._rounder.round(problem, solution, t=0)
+        active = {
+            model.platform_id: int(plan.active[m])
+            for m, model in enumerate(self.machine_models)
+        }
+        dropped = {
+            self.class_ids[n]: int(plan.dropped[n])
+            for n in range(len(self.class_ids))
+            if plan.dropped[n] > 0
+        }
+        return active, dropped, plan

@@ -36,8 +36,12 @@ from typing import TYPE_CHECKING
 
 from repro.energy.models import MachineModel
 from repro.errors import SolverError
-from repro.provisioning.autoscaler import ThresholdAutoscaler, ThresholdConfig
-from repro.provisioning.controller import ProvisioningDecision
+from repro.provisioning.autoscaler import (
+    ThresholdAutoscaler,
+    ThresholdConfig,
+    reactive_decision,
+)
+from repro.provisioning.controller import ProvisioningDecision, hold_decision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.cluster import ClusterView, Policy
@@ -165,13 +169,7 @@ class GuardedController:
 
         if self.tripped:
             self.stats.reactive_ticks += 1
-            decision = self.fallback.decide(
-                view.time,
-                view.demand_cpu,
-                view.demand_memory,
-                powered=view.powered,
-                available=view.available,
-            )
+            decision = reactive_decision(self.fallback, view)
             # Keep the wrapped predictors observing so forecasts re-converge
             # before the breaker closes and control is handed back.
             self._feed_inner(view)
@@ -217,11 +215,7 @@ class GuardedController:
     def _last_good_decision(self, view: "ClusterView") -> ProvisioningDecision:
         """Reapply the last validated plan (hold current power if none yet)."""
         self.stats.fallback_decisions += 1
-        if self._last_good is not None:
-            return replace(self._last_good, time=view.time)
-        return ProvisioningDecision(
-            time=view.time, active=dict(view.powered), quotas=None
-        )
+        return hold_decision(self._last_good, view.time, view.powered)
 
     def _feed_inner(self, view: "ClusterView") -> None:
         """Forward observations to the wrapped policy without deciding."""

@@ -20,7 +20,9 @@ simulator does (``repro.simulation.harmony``): the
 ``decide`` runs the :class:`~repro.simulation.degradation.DegradationLadder`
 around the MPC-lite primary — per-class M/G/N sizing
 (:func:`~repro.queueing.mgn.required_containers`) over forecast arrival
-rates, translated to machine targets over the Table II fleet.  Solver
+rates, translated to Table II machine targets by the baseline's greedy
+fill (:func:`~repro.provisioning.baseline.efficiency_fill`) at utilization
+1.0, since the sized demand already carries ``overprovision``.  Solver
 failures step the ladder down; bad decisions and forecast residual storms
 trip the guard; fabric partitions hold per-cell targets in both layers.
 """
@@ -34,6 +36,7 @@ from dataclasses import asdict, dataclass, field
 from repro.energy.catalog import table2_fleet
 from repro.errors import ServeError
 from repro.provisioning.autoscaler import ThresholdAutoscaler, ThresholdConfig
+from repro.provisioning.baseline import efficiency_fill
 from repro.provisioning.controller import ProvisioningDecision
 from repro.queueing.mgn import required_containers
 from repro.resilience.fabric import FabricView
@@ -223,9 +226,6 @@ class ServeState:
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
         self.fleet = table2_fleet(config.fleet_scale)
-        self._efficiency_order = tuple(
-            sorted(self.fleet, key=lambda m: -m.efficiency)
-        )
         self.classifier = OnlineClassifier(config.num_classes)
         self.durations = [WelfordStats() for _ in range(config.num_classes)]
         from repro.forecasting.predictors import EwmaPredictor, FallbackChainPredictor
@@ -390,7 +390,7 @@ class ServeState:
         )
 
     def _primary_decide(self, view: ClusterView) -> ProvisioningDecision:
-        """MPC-lite: forecast -> M/G/N sizing -> machine targets."""
+        """MPC-lite: forecast -> M/G/N sizing -> baseline greedy fill."""
         if self._pending_primary_fail is not None:
             reason = self._pending_primary_fail
             raise ServeError(
@@ -420,31 +420,10 @@ class ServeState:
             cpu, memory = self.classifier.centroid(class_id)
             demand_cpu += count * cpu * self.config.overprovision
             demand_memory += count * memory * self.config.overprovision
-        active = self._machine_targets(demand_cpu, demand_memory, view.available)
+        active = efficiency_fill(self.fleet, demand_cpu, demand_memory, view.available)
         return ProvisioningDecision(
             time=view.time, active=active, quotas=None, demand=containers
         )
-
-    def _machine_targets(
-        self, demand_cpu: float, demand_memory: float, available: dict[int, int]
-    ) -> dict[int, int]:
-        """Cover (cpu, memory) demand greedily in energy-efficiency order."""
-        active = {m.platform_id: 0 for m in self.fleet}
-        remaining_cpu, remaining_memory = demand_cpu, demand_memory
-        for model in self._efficiency_order:
-            cap = available.get(model.platform_id, model.count)
-            need = 0
-            if remaining_cpu > 0:
-                need = int(math.ceil(remaining_cpu / model.cpu_capacity))
-            if remaining_memory > 0:
-                need = max(
-                    need, int(math.ceil(remaining_memory / model.memory_capacity))
-                )
-            take = min(need, cap)
-            active[model.platform_id] = take
-            remaining_cpu -= take * model.cpu_capacity
-            remaining_memory -= take * model.memory_capacity
-        return active
 
     # ------------------------------------------------------------- summaries
 

@@ -40,8 +40,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Callable
 
-from repro.provisioning.autoscaler import ThresholdAutoscaler
-from repro.provisioning.controller import ProvisioningDecision
+from repro.provisioning.autoscaler import ThresholdAutoscaler, reactive_decision
+from repro.provisioning.controller import ProvisioningDecision, hold_decision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.simulation.cluster import ClusterView
@@ -102,15 +102,11 @@ class DegradationLadder:
         self, view: "ClusterView", reason: str
     ) -> tuple[ProvisioningDecision, int, str]:
         try:
-            decision = self.fallback.decide(
-                view.time,
-                view.demand_cpu,
-                view.demand_memory,
-                powered=view.powered,
-                available=view.available,
-            )
+            decision = reactive_decision(self.fallback, view)
         except Exception as exc:  # noqa: BLE001 — rung 1 failed too
-            return self._hold(view), 2, f"{reason}; then {self._reason(exc)}"
+            # Rung 2: re-stamp the last-known-good plan, or keep current power.
+            held = hold_decision(self._last_good, view.time, view.powered)
+            return held, 2, f"{reason}; then {self._reason(exc)}"
         return decision, 1, reason
 
     def _partition_overlay(
@@ -226,11 +222,3 @@ class DegradationLadder:
         self._held_targets = {int(c): int(n) for c, n in state["held_targets"]}
         self._partitioned_prev = frozenset(int(c) for c in state["partitioned_prev"])
         self.fallback.restore_state(state["fallback"])
-
-    def _hold(self, view: "ClusterView") -> ProvisioningDecision:
-        """Rung 2: re-stamp the last-known-good plan, or keep current power."""
-        if self._last_good is not None:
-            return replace(self._last_good, time=view.time)
-        return ProvisioningDecision(
-            time=view.time, active=dict(view.powered), quotas=None
-        )

@@ -19,7 +19,11 @@ from repro.energy.catalog import table2_fleet
 from repro.energy.models import MachineModel
 from repro.energy.prices import PriceSchedule, constant_price
 from repro.forecasting.predictors import make_predictor
-from repro.provisioning.autoscaler import ThresholdAutoscaler, ThresholdConfig
+from repro.provisioning.autoscaler import (
+    ThresholdAutoscaler,
+    ThresholdConfig,
+    reactive_decision,
+)
 from repro.provisioning.baseline import BaselineConfig, BaselineProvisioner
 from repro.provisioning.cbp import CbpController
 from repro.provisioning.controller import (
@@ -124,8 +128,8 @@ class _ControllerPolicy:
     def __init__(
         self,
         controller: HarmonyController,
-        arrival_splitter=None,
-        ladder: DegradationLadder | None = None,
+        arrival_splitter,
+        ladder: DegradationLadder,
     ) -> None:
         self.controller = controller
         self.arrival_splitter = arrival_splitter
@@ -138,10 +142,7 @@ class _ControllerPolicy:
         while its circuit breaker is open, so forecasts re-converge before
         control returns to the MPC path.
         """
-        arrivals = view.arrivals
-        if self.arrival_splitter is not None:
-            arrivals = self.arrival_splitter(arrivals)
-        self.controller.observe(arrivals)
+        self.controller.observe(self.arrival_splitter(view.arrivals))
 
     def decide(self, view: ClusterView) -> ProvisioningDecision:
         self.observe_view(view)
@@ -156,8 +157,6 @@ class _ControllerPolicy:
                 powered=view.powered,
             )
 
-        if self.ladder is None:
-            return solve()
         return self.ladder.decide(view, solve)
 
 
@@ -180,13 +179,7 @@ class _ThresholdPolicy:
         self.autoscaler = autoscaler
 
     def decide(self, view: ClusterView) -> ProvisioningDecision:
-        return self.autoscaler.decide(
-            view.time,
-            view.demand_cpu,
-            view.demand_memory,
-            powered=view.powered,
-            available=view.available,
-        )
+        return reactive_decision(self.autoscaler, view)
 
 
 class _StaticPolicy:
@@ -550,17 +543,16 @@ class HarmonySimulation:
             decisions = decisions or inner.autoscaler.decisions
         elif isinstance(inner, _ControllerPolicy):
             decisions = decisions or inner.controller.decisions
-            if inner.ladder is not None:
-                metrics.degradation_timeline.extend(inner.ladder.timeline)
-                fabric_metrics = metrics.fabric
-                for cell, ticks in sorted(inner.ladder.cell_hold_ticks.items()):
-                    fabric_metrics.cell_hold_ticks[str(cell)] = (
-                        fabric_metrics.cell_hold_ticks.get(str(cell), 0) + ticks
-                    )
-                fabric_metrics.reconciliations += inner.ladder.reconciliations
-                fabric_metrics.reconciliation_divergence += (
-                    inner.ladder.reconciliation_divergence
+            metrics.degradation_timeline.extend(inner.ladder.timeline)
+            fabric_metrics = metrics.fabric
+            for cell, ticks in sorted(inner.ladder.cell_hold_ticks.items()):
+                fabric_metrics.cell_hold_ticks[str(cell)] = (
+                    fabric_metrics.cell_hold_ticks.get(str(cell), 0) + ticks
                 )
+            fabric_metrics.reconciliations += inner.ladder.reconciliations
+            fabric_metrics.reconciliation_divergence += (
+                inner.ladder.reconciliation_divergence
+            )
             forecast_fallback = _collect_forecast_fallback(inner.controller)
             for decision in decisions:
                 by_group: dict[PriorityGroup, int] = {g: 0 for g in PriorityGroup}

@@ -1,4 +1,6 @@
-"""Tests for the two-step task classifier and run-time labeler (Section V)."""
+"""Tests for the two-step task classifier and run-time relabeling (Section V)."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,9 +8,9 @@ import pytest
 from repro.classification import (
     ClassifierConfig,
     DurationCategory,
-    RuntimeLabeler,
     TaskClassifier,
 )
+from repro.simulation import HarmonyConfig, HarmonySimulation
 from repro.trace import PriorityGroup
 from tests.conftest import make_task
 
@@ -150,75 +152,100 @@ class TestRuntimeClassification:
             assert leaf.duration_scv >= 0
 
 
+@pytest.fixture(scope="module")
+def simulation(classifier, small_trace):
+    return HarmonySimulation(HarmonyConfig(), small_trace, classifier=classifier)
+
+
+def relabeled_long_tasks(classifier, trace):
+    """Tasks labeled short on arrival whose true class is long."""
+    return [
+        task
+        for task in trace.tasks
+        if classifier.classify(task, observed_runtime=0.0).duration_category
+        is DurationCategory.SHORT
+        and classifier.true_class(task).duration_category is DurationCategory.LONG
+    ]
+
+
 class TestRuntimeLabeler:
-    def _fitted(self):
-        return TaskClassifier(ClassifierConfig(seed=0)).fit(bimodal_tasks())
+    """The label a live task carries as it runs, as the cluster simulator
+    reads it from :meth:`HarmonySimulation.relabel_class` at each tick."""
 
-    def test_label_track_finish(self):
-        classifier = self._fitted()
-        labeler = RuntimeLabeler(classifier)
-        task = make_task(job_id=5000, duration=30.0, cpu=0.01, memory=0.02)
-        label = labeler.label_arrival(task, now=0.0)
-        assert label.duration_category is DurationCategory.SHORT
-        assert labeler.num_live == 1
-        final = labeler.finish(task, now=30.0)
-        assert final.class_id == label.class_id
-        assert labeler.num_live == 0
-        assert labeler.stats.final_accuracy == 1.0
+    def test_advance_relabels_long_task(self, simulation, classifier, small_trace):
+        tasks = relabeled_long_tasks(classifier, small_trace)
+        assert tasks
+        for task in tasks:
+            boundary = classifier.classify_static(task).split_seconds
+            arrival = simulation.relabel_class(task, 0.0)
+            later = simulation.relabel_class(task, boundary * 2)
+            assert later != arrival
+            assert classifier.class_by_id(later).duration_category is (
+                DurationCategory.LONG
+            )
+            assert later == classifier.true_class(task).class_id
 
-    def test_advance_relabels_long_task(self):
-        classifier = self._fitted()
-        labeler = RuntimeLabeler(classifier)
-        task = make_task(job_id=5001, duration=50000.0, cpu=0.01, memory=0.02)
-        labeler.label_arrival(task, now=0.0)
-        boundary = classifier.classify_static(task).split_seconds
-        events = labeler.advance(now=boundary * 2)
-        assert len(events) == 1
-        assert events[0].new_class.duration_category is DurationCategory.LONG
-        assert labeler.current_label(task).duration_category is DurationCategory.LONG
-        labeler.finish(task, now=50000.0)
-        assert labeler.stats.final_accuracy == 1.0
-        assert labeler.stats.mislabel_seconds > 0
-
-    def test_mislabel_seconds_bounded_by_boundary(self):
+    def test_mislabel_seconds_bounded_by_boundary(
+        self, simulation, classifier, small_trace
+    ):
         """The error from optimistic labeling is 'small and short-lived':
         a relabeled task is mislabeled for at most the split boundary."""
-        classifier = self._fitted()
-        labeler = RuntimeLabeler(classifier)
-        task = make_task(job_id=5002, duration=50000.0, cpu=0.01, memory=0.02)
-        labeler.label_arrival(task, now=0.0)
-        boundary = classifier.classify_static(task).split_seconds
-        labeler.advance(now=boundary * 1.5)
-        labeler.finish(task, now=50000.0)
-        assert labeler.stats.mislabel_seconds <= boundary + 1e-9
-
-    def test_finish_unknown_task_raises(self):
-        labeler = RuntimeLabeler(self._fitted())
-        with pytest.raises(KeyError):
-            labeler.finish(make_task(job_id=1), now=1.0)
-
-    def test_majority_correct_on_trace(self, classifier, small_trace):
-        """End-to-end labeling accuracy on a realistic trace.
-
-        Events are processed in time order (a task must finish at its end
-        time, not after later advance sweeps, or short tasks would be
-        spuriously relabeled long).
-        """
-        labeler = RuntimeLabeler(classifier)
-        tasks = list(small_trace.tasks[:500])
-        events = []
+        tasks = relabeled_long_tasks(classifier, small_trace)
+        assert tasks
         for task in tasks:
-            events.append((task.submit_time, 0, "arrive", task))
-            events.append((task.submit_time + task.duration, 1, "finish", task))
-        horizon = max(t for t, *_ in events)
-        for k in range(1, 21):
-            events.append((horizon * k / 20, 2, "advance", None))
-        events.sort(key=lambda e: (e[0], e[1]))
-        for time, _, kind, task in events:
-            if kind == "arrive":
-                labeler.label_arrival(task, now=time)
-            elif kind == "finish":
-                labeler.finish(task, now=time)
-            else:
-                labeler.advance(now=time)
-        assert labeler.stats.final_accuracy > 0.7
+            boundary = classifier.classify_static(task).split_seconds
+            truth = classifier.true_class(task).class_id
+            ticks = np.linspace(0.0, task.duration, 401)
+            step = float(ticks[1] - ticks[0])
+            mislabel_seconds = step * sum(
+                simulation.relabel_class(task, float(t)) != truth for t in ticks[:-1]
+            )
+            assert mislabel_seconds > 0
+            assert mislabel_seconds <= boundary + step
+
+
+class TestProductionRelabeling:
+    """Section V relabeling on the path the replay runs:
+    :meth:`HarmonySimulation.relabel_class`, applied by the cluster
+    simulator to every running task at each control tick."""
+
+    def test_relabel_class_matches_classifier(self, simulation, classifier, small_trace):
+        """Differential: the precomputed relabel table answers exactly what
+        the classifier answers for the same observed runtime."""
+        mismatches = []
+        checks = 0
+        for task in small_trace.tasks:
+            boundary = classifier.classify_static(task).split_seconds
+            elapsed_points = [0.0, task.duration]
+            if math.isfinite(boundary):
+                elapsed_points += [boundary, math.nextafter(boundary, math.inf)]
+            for elapsed in elapsed_points:
+                checks += 1
+                expected = classifier.classify(task, observed_runtime=elapsed).class_id
+                if simulation.relabel_class(task, elapsed) != expected:
+                    mismatches.append((task.uid, elapsed))
+        assert checks > 3 * len(small_trace.tasks)
+        assert mismatches == []
+
+    def test_long_task_mislabeled_for_at_most_the_boundary(
+        self, simulation, classifier, small_trace
+    ):
+        """The error from optimistic labeling is 'small and short-lived': a
+        long task carries its short label up to and including the split
+        boundary, and its true long label from just past it."""
+        relabeled = 0
+        for task in small_trace.tasks:
+            arrival = classifier.classify(task, observed_runtime=0.0)
+            truth = classifier.true_class(task)
+            if (
+                arrival.duration_category is not DurationCategory.SHORT
+                or truth.duration_category is not DurationCategory.LONG
+            ):
+                continue
+            boundary = classifier.classify_static(task).split_seconds
+            assert simulation.relabel_class(task, 0.0) == arrival.class_id
+            assert simulation.relabel_class(task, boundary) == arrival.class_id
+            past = math.nextafter(boundary, math.inf)
+            assert simulation.relabel_class(task, past) == truth.class_id
+            relabeled += 1
+        assert relabeled > 0

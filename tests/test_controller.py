@@ -1,5 +1,7 @@
 """Tests for the MPC controller (Algorithm 1), CBP and the baseline."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.provisioning import (
     ControllerConfig,
     HarmonyController,
 )
+from repro.provisioning.baseline import efficiency_fill
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +162,95 @@ class TestCbpController:
         d_cbp = cbp.decide(now=0.0)
         total = lambda d: sum(sum(q.values()) for q in d.quotas.values())
         assert total(d_cbp) == pytest.approx(total(d_cbs), rel=0.3)
+
+
+    def test_cbp_differs_from_cbs_only_in_realization(self, controller_setup):
+        """Section VIII-B: from one controller state, CBS and CBP share the
+        forecast, demand, LP and quotas; CBP realizes step 0 by rounding."""
+        fleet, manager, config = controller_setup
+        cbs = HarmonyController(fleet, manager, config)
+        cbp = CbpController(fleet, manager, config)
+        steady_arrivals(cbs)
+        steady_arrivals(cbp)
+        backlog = {cbs.class_ids[0]: 12}
+        d_cbs = cbs.decide(now=0.0, backlog=backlog)
+        d_cbp = cbp.decide(now=0.0, backlog=backlog)
+        assert d_cbp.demand == d_cbs.demand
+        assert d_cbp.quotas == d_cbs.quotas
+        assert d_cbp.objective == d_cbs.objective
+        assert d_cbp.dropped == {}
+        assert cbp.last_plan is None
+        assert cbs.last_plan is not None
+        z = cbp.last_solution.z[0]
+        for m, model in enumerate(fleet):
+            nearest = int(np.ceil(z[m] - 0.5 + 1e-9))
+            assert d_cbp.active[model.platform_id] == min(max(nearest, 0), model.count)
+        # The next period's switching costs start from the realized counts.
+        assert list(cbp._previous_active) == [d_cbp.active[m.platform_id] for m in fleet]
+
+    def test_cbp_realization_rounds_to_nearest_and_caps(self, controller_setup):
+        fleet, manager, config = controller_setup
+        cbp = CbpController(fleet, manager, config)
+        solution = SimpleNamespace(z=np.array([[0.49, 0.5, 2.7, 1e6]]))
+        active, dropped, plan = cbp.realize(
+            None, solution, available={fleet[3].platform_id: 3}
+        )
+        assert [active[m.platform_id] for m in fleet] == [0, 1, 3, 3]
+        assert dropped == {}
+        assert plan is None
+
+
+class TestEfficiencyFill:
+    """The greedy energy-efficiency fill shared by the baseline and serve."""
+
+    @staticmethod
+    def _random_cases(seed=0, count=300):
+        fleet = table2_fleet(0.1)
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            available = {
+                m.platform_id: int(rng.integers(0, m.count + 1)) for m in fleet
+            }
+            cpu_cap = sum(m.cpu_capacity * available[m.platform_id] for m in fleet)
+            mem_cap = sum(m.memory_capacity * available[m.platform_id] for m in fleet)
+            yield (
+                fleet,
+                float(rng.uniform(0, 1.2) * cpu_cap),
+                float(rng.uniform(0, 1.2) * mem_cap),
+                available,
+            )
+
+    def test_covers_demand_whenever_the_fleet_can(self):
+        covered = 0
+        for fleet, cpu, memory, available in self._random_cases():
+            active = efficiency_fill(fleet, cpu, memory, available)
+            assert list(active) == [m.platform_id for m in fleet]
+            got_cpu = sum(m.cpu_capacity * active[m.platform_id] for m in fleet)
+            got_mem = sum(m.memory_capacity * active[m.platform_id] for m in fleet)
+            if active == available:
+                continue  # fleet exhausted: everything available is on
+            assert got_cpu >= cpu and got_mem >= memory
+            covered += 1
+        assert covered > 100
+
+    def test_never_skips_a_more_efficient_type(self):
+        for fleet, cpu, memory, available in self._random_cases(seed=1):
+            active = efficiency_fill(fleet, cpu, memory, available)
+            order = sorted(fleet, key=lambda m: -m.efficiency)
+            for position, model in enumerate(order):
+                if active[model.platform_id] < available[model.platform_id]:
+                    # A type with machines left: no less efficient type is on.
+                    assert all(
+                        active[later.platform_id] == 0
+                        for later in order[position + 1:]
+                    )
+                    break
+
+    def test_baseline_is_the_fill_at_its_target_utilization(self):
+        fleet = table2_fleet(0.1)
+        baseline = BaselineProvisioner(fleet, BaselineConfig(target_utilization=0.8))
+        decision = baseline.decide(now=0.0, demand_cpu=10.0, demand_memory=5.0)
+        assert decision.active == efficiency_fill(fleet, 10.0 / 0.8, 5.0 / 0.8)
 
 
 class TestBaselineProvisioner:

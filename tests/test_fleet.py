@@ -20,6 +20,7 @@ from repro.energy.catalog import google_like_energy_models
 from repro.fleet import (
     FleetConfig,
     TaskRouter,
+    fleet_baseline_payload,
     fleet_scenarios,
     max_shards,
     merge_fleet_report,
@@ -381,6 +382,24 @@ class TestProgressJournal:
 #: CLI args pinning the fleet run to the small test workload.
 CLI_TRACE = ["--hours", "0.5", "--machines", "150", "--seed", "7",
              "--load", "0.5"]
+
+
+class TestFleetPayload:
+    def test_payload_reports_merged_task_throughput(self):
+        """Shard summaries nest task counts under ``simulation``; the
+        payload's throughput and per-shard ``tasks`` must still see them."""
+        config = FleetConfig(shards=2, suite="unit")
+        fleet = run_fleet(TRACE, config, workers=1)
+        payload = fleet_baseline_payload(fleet, TRACE, config)
+        submitted = fleet.merged["tasks_submitted"]
+        assert submitted > 0
+        assert payload["tasks_per_second"] > 0
+        assert payload["tasks_per_second"] == pytest.approx(
+            submitted / fleet.report.total_wall_seconds, abs=0.01
+        )
+        shard_tasks = [entry["tasks"] for entry in payload["scenarios"]]
+        assert len(shard_tasks) == 2
+        assert sum(shard_tasks) == submitted
 
 
 class TestFleetCli:
